@@ -62,12 +62,6 @@ pub(crate) struct DecomposeConfig {
     /// when the neighborhoods are not improving, the remaining budget
     /// is worth more to the main branch-and-bound tree.
     pub max_consecutive_failures: usize,
-    /// Solve region/group sub-MILPs through one shared
-    /// [`pipemap_milp::ResolveContext`] (freeze/relax edits applied as
-    /// bound/objective deltas, warm-started from the previous sub-solve's
-    /// basis) instead of re-cloning and cold-solving the full model per
-    /// sub-problem. Off = the historical clone-per-subproblem path.
-    pub incremental: bool,
 }
 
 impl Default for DecomposeConfig {
@@ -79,7 +73,6 @@ impl Default for DecomposeConfig {
             node_limit: 2000,
             jobs: 1,
             max_consecutive_failures: 5,
-            incremental: true,
         }
     }
 }
@@ -95,9 +88,6 @@ pub(crate) struct DecomposeOutcome {
     pub subproblems_solved: usize,
     /// Improving region incumbents stitched into the seed.
     pub stitched_incumbents: usize,
-    /// Reuse counters of the shared re-solve context (`None` on the
-    /// clone-per-subproblem path).
-    pub resolve_stats: Option<pipemap_milp::ResolveStats>,
 }
 
 /// Carve the DFG into cone-bounded regions: subtrees of the
@@ -264,13 +254,6 @@ pub(crate) fn partition_bound(
     let start = Instant::now();
     let mut total = 0.0f64;
     let mut solved = 0usize;
-    // One shared re-solve context: each group's "partial objective +
-    // partial integrality" model is the base model plus objective and
-    // kind deltas, so consecutive groups warm-start from the previous
-    // group's root basis instead of cold-solving a fresh clone.
-    let mut cx = cfg
-        .incremental
-        .then(|| pipemap_milp::ResolveContext::new(f.model.clone()));
     for (k, &gi) in order.iter().enumerate() {
         let remaining = cfg.time_budget.saturating_sub(start.elapsed());
         // A group with no objective-weighted column contributes exactly
@@ -290,35 +273,17 @@ pub(crate) fn partition_bound(
             jobs: cfg.jobs.max(1),
             probing: false,
             cuts: false,
-            symmetry: false,
             ..SolverOptions::default()
         };
-        let sub_result = match cx.as_mut() {
-            Some(cx) => {
-                cx.restore_objective();
-                cx.restore_kinds();
-                for (j, &g) in group.iter().enumerate() {
-                    if g != gi {
-                        let v = pipemap_milp::VarId::from_index(j);
-                        cx.set_objective_coeff(v, 0.0);
-                        cx.relax_integrality(v);
-                    }
-                }
-                cx.solve(&sub_opts)
+        let mut sub = f.model.clone();
+        for (j, &g) in group.iter().enumerate() {
+            if g != gi {
+                let v = pipemap_milp::VarId::from_index(j);
+                sub.set_objective_coeff(v, 0.0);
+                sub.relax_integrality(v);
             }
-            None => {
-                let mut sub = f.model.clone();
-                for (j, &g) in group.iter().enumerate() {
-                    if g != gi {
-                        let v = pipemap_milp::VarId::from_index(j);
-                        sub.set_objective_coeff(v, 0.0);
-                        sub.relax_integrality(v);
-                    }
-                }
-                sub.solve(&sub_opts)
-            }
-        };
-        match sub_result {
+        }
+        match sub.solve(&sub_opts) {
             Ok(r) if r.best_bound.is_finite() => {
                 solved += 1;
                 // Never below the box bound the group is entitled to.
@@ -355,7 +320,6 @@ pub(crate) fn refine_incumbent(
         objective: best,
         subproblems_solved: 0,
         stitched_incumbents: 0,
-        resolve_stats: None,
     };
 
     let mut regions = carve_regions(dfg, cfg);
@@ -382,13 +346,6 @@ pub(crate) fn refine_incumbent(
     // across rounds, so the schedule stays deterministic.
     let start = Instant::now();
     let mut consecutive_failures = 0usize;
-    // One shared re-solve context across every region and round: the
-    // frozen-complement sub-MILP is the base model plus bound deltas
-    // (freeze = fix at the incumbent), rolled back and re-applied per
-    // region, so each sub-solve warm-starts from its predecessor.
-    let mut cx = cfg
-        .incremental
-        .then(|| pipemap_milp::ResolveContext::new(f.model.clone()));
     'rounds: loop {
         let mut improved_this_round = false;
         for region in &regions {
@@ -417,32 +374,16 @@ pub(crate) fn refine_incumbent(
                 // than they save here.
                 probing: false,
                 cuts: false,
-                symmetry: false,
                 ..SolverOptions::default()
             };
-            let sub_result = match cx.as_mut() {
-                Some(cx) => {
-                    cx.restore_bounds();
-                    for (j, &is_free) in free.iter().enumerate() {
-                        if !is_free {
-                            let x = incumbent[j];
-                            cx.set_bounds(pipemap_milp::VarId::from_index(j), x, x);
-                        }
-                    }
-                    cx.solve(&sub_opts)
+            let mut sub = f.model.clone();
+            for (j, &is_free) in free.iter().enumerate() {
+                if !is_free {
+                    let x = incumbent[j];
+                    sub.set_bounds(pipemap_milp::VarId::from_index(j), x, x);
                 }
-                None => {
-                    let mut sub = f.model.clone();
-                    for (j, &is_free) in free.iter().enumerate() {
-                        if !is_free {
-                            let x = incumbent[j];
-                            sub.set_bounds(pipemap_milp::VarId::from_index(j), x, x);
-                        }
-                    }
-                    sub.solve(&sub_opts)
-                }
-            };
-            let Ok(r) = sub_result else {
+            }
+            let Ok(r) = sub.solve(&sub_opts) else {
                 continue;
             };
             out.subproblems_solved += 1;
@@ -478,7 +419,6 @@ pub(crate) fn refine_incumbent(
 
     out.values = incumbent;
     out.objective = best;
-    out.resolve_stats = cx.map(|c| c.stats());
     if obs::enabled() {
         obs::instant_with(
             "decompose-done",
@@ -565,13 +505,10 @@ mod tests {
             "refined incumbent infeasible"
         );
         assert!(out.subproblems_solved >= out.stitched_incumbents);
-        // Default config routes sub-solves through the shared context.
-        let rs = out.resolve_stats.expect("incremental stats");
-        assert_eq!(rs.solves, out.subproblems_solved);
     }
 
     #[test]
-    fn clone_path_refinement_still_works() {
+    fn refinement_without_relaxation_never_worsens_the_seed() {
         let g = two_cones();
         let target = Target::fig1();
         let db = CutDb::enumerate(&g, &CutConfig::for_target(&target));
@@ -585,7 +522,6 @@ mod tests {
         let cfg = DecomposeConfig {
             time_budget: Duration::from_secs(5),
             jobs: 1,
-            incremental: false,
             ..DecomposeConfig::default()
         };
         let out = refine_incumbent(&g, &f, seed, None, &cfg);
@@ -594,7 +530,6 @@ mod tests {
             f.model.check_feasible(&out.values, 1e-6).is_none(),
             "refined incumbent infeasible"
         );
-        assert!(out.resolve_stats.is_none());
     }
 
     #[test]

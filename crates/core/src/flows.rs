@@ -124,9 +124,6 @@ pub struct FlowOptions {
     pub probing: bool,
     /// Separate certified clique/cover cuts at the root (on by default).
     pub cuts: bool,
-    /// Detect symmetric binary columns and apply orbital fixing during
-    /// the search (on by default).
-    pub symmetry: bool,
     /// Separate rank-1 Gomory mixed-integer cuts from the root simplex
     /// tableau, each shipped with a machine-checkable derivation
     /// certificate (audited by `pipemap-verify`'s `P07xx` pass). Off by
@@ -138,12 +135,6 @@ pub struct FlowOptions {
     /// sub-MILPs, and stitch improving incumbents (see
     /// `crate::decompose`). Off by default; opt in via `--decompose`.
     pub decompose: bool,
-    /// Route the decomposition's sub-MILPs through one shared
-    /// [`pipemap_milp::ResolveContext`]: freeze/relax edits become
-    /// bound/objective deltas and each sub-solve warm-starts from the
-    /// previous one's basis and LU factors (on by default; off
-    /// reproduces the clone-and-cold-solve baseline via `--resolve off`).
-    pub resolve: bool,
 }
 
 impl Default for FlowOptions {
@@ -167,10 +158,8 @@ impl Default for FlowOptions {
             warm_start: true,
             probing: true,
             cuts: true,
-            symmetry: true,
             gomory_cuts: false,
             decompose: false,
-            resolve: true,
         }
     }
 }
@@ -233,10 +222,6 @@ pub struct MilpStats {
     /// `"decompose"` (a stitched region incumbent survived), or
     /// `"solver"` (the tree search improved on what it was given).
     pub incumbent_source: &'static str,
-    /// Reuse counters of the decomposition's shared re-solve context
-    /// (`None` when [`FlowOptions::decompose`] or
-    /// [`FlowOptions::resolve`] is off).
-    pub resolve: Option<pipemap_milp::ResolveStats>,
     /// Presolve/warm-start/parallelism counters from the solver.
     pub solver: SolverStats,
 }
@@ -516,7 +501,6 @@ fn run_milp(
     // bound.
     let mut subproblems_solved = 0usize;
     let mut stitched_incumbents = 0usize;
-    let mut resolve_stats: Option<pipemap_milp::ResolveStats> = None;
     let mut incumbent_source: &'static str = if seed.is_some() { "seed" } else { "none" };
     if opts.decompose {
         if let Some(sv) = seed.take() {
@@ -527,7 +511,6 @@ fn run_milp(
             let dcfg = crate::decompose::DecomposeConfig {
                 time_budget: budget,
                 jobs: opts.jobs.max(1),
-                incremental: opts.resolve,
                 ..crate::decompose::DecomposeConfig::default()
             };
             let out = crate::decompose::refine_incumbent(
@@ -539,7 +522,6 @@ fn run_milp(
             );
             subproblems_solved = out.subproblems_solved;
             stitched_incumbents = out.stitched_incumbents;
-            resolve_stats = out.resolve_stats;
             if out.stitched_incumbents > 0 {
                 incumbent_source = "decompose";
             }
@@ -556,7 +538,6 @@ fn run_milp(
         warm_start: opts.warm_start,
         probing: opts.probing,
         cuts: opts.cuts,
-        symmetry: opts.symmetry,
         gomory_cuts: opts.gomory_cuts,
         ..SolverOptions::default()
     };
@@ -635,7 +616,6 @@ fn run_milp(
             // side of the gap, which the tree was failing to move.
             time_budget: opts.time_limit / 2,
             jobs: opts.jobs.max(1),
-            incremental: opts.resolve,
             ..crate::decompose::DecomposeConfig::default()
         };
         if let Some((pb, groups)) = crate::decompose::partition_bound(dfg, &f, &dcfg) {
@@ -728,7 +708,6 @@ fn run_milp(
             subproblems_solved,
             stitched_incumbents,
             incumbent_source,
-            resolve: resolve_stats,
             solver,
         }),
     })

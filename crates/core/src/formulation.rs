@@ -414,7 +414,8 @@ impl Formulation {
     /// Objective coefficients for a new `(α, β, γ)` weighting, as
     /// `(variable, coefficient)` pairs. A weight sweep applies these as
     /// objective deltas on a `ResolveContext` instead of rebuilding the
-    /// model, which keeps the solved basis warm across sweep points.
+    /// model, so each sweep point starts from the previous point's
+    /// solution as its incumbent.
     ///
     /// `γ` is only honoured when the model was *built* with a DSP-count
     /// variable (`gamma > 0.0` at build time); re-weighting to `γ = 0`

@@ -11,9 +11,11 @@
 //! each structural base, walks the *weight* axis by editing one
 //! [`pipemap_milp::ResolveContext`] in place: each (α, β, γ) point is a
 //! batch of objective-coefficient deltas (via
-//! `Formulation::objective_deltas`), re-optimized from the previous
-//! point's basis and LU factors. The first point of every base is the
-//! one unavoidable cold solve; every later point warm-starts.
+//! `Formulation::objective_deltas`), solved with the previous point's
+//! solution as the starting incumbent. The first point of every base is
+//! the one unavoidable cold solve. A base whose model and deltas match
+//! the previous base of the same K bit-for-bit is not solved at all: its
+//! points replay the recorded results.
 //!
 //! With `incremental` off the same schedule of points is replayed the
 //! naive way — cut enumeration, baseline scheduling, formulation build
@@ -121,9 +123,11 @@ pub struct SweepPoint {
     /// from-scratch evaluation; incremental points only pay the edits
     /// and the re-solve.
     pub wall: Duration,
-    /// The point re-optimized from the saved basis (always `false` on
-    /// the cold path and on each base's first point).
-    pub warm_hit: bool,
+    /// The point reused earlier work: its solve was seeded with the
+    /// previous point's incumbent, or its base deduplicated onto the
+    /// previous base and the result was replayed. Always `false` on the
+    /// cold path and on the first point of each solved base.
+    pub reused: bool,
     /// The audit verdict (`None` unless [`SweepConfig::audit`]).
     pub audit_ok: Option<bool>,
 }
@@ -304,7 +308,7 @@ fn run_base_incremental(
                         ii,
                         ii_achieved,
                         wall: if i == 0 { wall } else { Duration::ZERO },
-                        warm_hit: true,
+                        reused: true,
                         ..src
                     });
                 }
@@ -346,8 +350,7 @@ fn run_base_incremental(
             status: r.status,
             objective: r.objective,
             wall,
-            warm_hit: after.warm_hits > before.warm_hits
-                || after.incumbent_seeds > before.incumbent_seeds,
+            reused: after.incumbent_seeds > before.incumbent_seeds,
             audit_ok,
         });
     }
@@ -395,7 +398,7 @@ fn run_base_cold(
             status: r.status,
             objective: r.objective,
             wall,
-            warm_hit: false,
+            reused: false,
             audit_ok: None,
         });
     }
@@ -481,10 +484,10 @@ mod tests {
         assert_eq!(warm.bases_deduped, 1, "stats: {rs:?}");
         assert_eq!(rs.solves, 3);
         // The first point is the one unavoidable cold solve; at least
-        // some later point must have reused prior state (a seeded
-        // incumbent or a warm basis) for the engine to matter.
+        // some later point must have been seeded with a prior incumbent
+        // for the engine to matter.
         assert!(
-            rs.warm_hits + rs.incumbent_seeds >= 1,
+            rs.incumbent_seeds >= 1,
             "no state reuse across the sweep: {rs:?}"
         );
         assert!(cold.resolve.is_none());

@@ -147,10 +147,6 @@ pub struct SolverOptions {
     /// cover cuts against the root LP relaxation, with activity-based
     /// aging of the cut pool.
     pub cuts: bool,
-    /// Detect interchangeable binary columns (hash-based partition
-    /// refinement plus explicit automorphism witnesses) and apply orbital
-    /// fixing during branch and bound.
-    pub symmetry: bool,
     /// Separate rank-1 Gomory mixed-integer cuts from the root simplex
     /// tableau inside the cutting-plane loop. Off by default: tableau
     /// cuts are admitted under strict numerical-safety caps and each one
@@ -173,7 +169,6 @@ impl Default for SolverOptions {
             warm_start: true,
             probing: true,
             cuts: true,
-            symmetry: true,
             gomory_cuts: false,
         }
     }
@@ -265,9 +260,9 @@ pub struct SolverStats {
     pub cut_rounds: usize,
     /// Cuts dropped from the pool by activity-based aging.
     pub cuts_aged_out: usize,
-    /// Verified symmetry orbits over binary columns.
-    pub symmetry_orbits: usize,
-    /// Variables fixed at tree nodes by orbital fixing.
+    /// Always 0: the solver has no symmetry detection or orbital fixing.
+    /// The field stays because the fixed-work benchmark (`perfbench/`)
+    /// still reports it as `milp.orbital_fixings`.
     pub orbital_fixings: usize,
     /// Variables fixed at tree nodes by conflict-graph implication
     /// propagation.
@@ -278,21 +273,6 @@ pub struct SolverStats {
     /// Incumbent/bound timeline of the solve (objective offset already
     /// applied, so values are in the caller's model space).
     pub convergence: Vec<GapSample>,
-    /// Root LPs warm-started from a saved [`ResolveContext`] basis.
-    pub resolve_warm_attempts: usize,
-    /// Saved-basis root warm starts that re-optimized without a cold
-    /// fallback.
-    pub resolve_warm_hits: usize,
-    /// Root solves that adopted the prior solve's LU factors (possibly
-    /// border-extended for added cut rows) instead of refactoring.
-    pub lu_factor_reuses: usize,
-    /// Root solves that refactored the basis from scratch (cold roots of
-    /// capturing solves, plus warm starts whose cached factors were
-    /// stale).
-    pub lu_refactors: usize,
-    /// Open leaves of the prior search resumed as this solve's initial
-    /// frontier (pure continuations only).
-    pub frontier_nodes_reused: usize,
     /// Why no warm start was attempted, when `warm_attempts` is zero for
     /// a structural reason rather than by accident: warm starts disabled
     /// by options, a root basis that could not be snapshotted, or a
@@ -695,7 +675,6 @@ mod tests {
         let opts = SolverOptions {
             probing: false,
             cuts: false,
-            symmetry: false,
             ..SolverOptions::default()
         };
         let r = m.solve(&opts).expect("solves");

@@ -31,18 +31,6 @@ struct Eta {
     pivot: f64,
 }
 
-/// One appended basis row for the bordered extension: with `k` rows
-/// appended the basis becomes the block-lower-triangular
-/// `[[B, 0], [C, S]]`, where row `i` of `(C | S)` is stored here as
-/// `entries` (coefficients of the appended row on earlier basis
-/// *positions*, both base and prior border) plus the diagonal `pivot`
-/// (the appended row's own basic column, a slack in practice).
-#[derive(Debug, Clone)]
-struct BorderRow {
-    entries: Vec<(usize, f64)>,
-    pivot: f64,
-}
-
 /// LU factors plus the eta file accumulated since the last refactorization.
 #[derive(Debug, Clone)]
 pub(crate) struct Factors {
@@ -57,25 +45,12 @@ pub(crate) struct Factors {
     /// Per step: the diagonal (pivot) value.
     u_diag: Vec<f64>,
     etas: Vec<Eta>,
-    /// Bordered extension rows appended by [`Factors::append_rows`]
-    /// (re-solve with added cut rows); empty for a fresh factorization.
-    border: Vec<BorderRow>,
-    /// How many of `etas` were recorded *before* the border was appended.
-    /// Those etas act on base positions only and belong inside `B`; etas
-    /// past this index act on the full bordered dimension.
-    border_at: usize,
 }
 
 impl Factors {
     /// Number of updates applied since factorization.
     pub fn eta_count(&self) -> usize {
         self.etas.len()
-    }
-
-    /// Total dimension the factors solve for: the factored base plus any
-    /// appended border rows.
-    pub fn dim(&self) -> usize {
-        self.m + self.border.len()
     }
 
     /// Factor the basis given its columns (`cols[pos]` = sparse column of
@@ -237,47 +212,13 @@ impl Factors {
             u_rows,
             u_diag,
             etas: Vec::new(),
-            border: Vec::new(),
-            border_at: 0,
         })
-    }
-
-    /// Extend the factorization in place for rows appended to the basis
-    /// (added cut rows whose slacks enter the basis): each element of
-    /// `rows` is `(entries, pivot)` with `entries` the appended row's
-    /// coefficients on the *existing* basis positions (base positions
-    /// and earlier border positions) and `pivot` the coefficient of the
-    /// appended row's own basic column.
-    ///
-    /// Returns `false` (caller must refactorize) when the extension is
-    /// not representable — a pivot too small for stability, or basis
-    /// updates were already recorded on top of an earlier border (the
-    /// factors only track one pre-border/post-border eta split).
-    #[must_use]
-    pub fn append_rows(&mut self, rows: &[(Vec<(usize, f64)>, f64)]) -> bool {
-        if self.etas.len() != self.border_at && !self.border.is_empty() {
-            return false;
-        }
-        if rows.iter().any(|(_, pivot)| pivot.abs() < 1e-9) {
-            return false;
-        }
-        let dim = self.dim();
-        for (i, (entries, _)) in rows.iter().enumerate() {
-            debug_assert!(entries.iter().all(|&(p, _)| p < dim + i));
-        }
-        self.border_at = self.etas.len();
-        self.border
-            .extend(rows.iter().map(|(entries, pivot)| BorderRow {
-                entries: entries.clone(),
-                pivot: *pivot,
-            }));
-        true
     }
 
     /// Solve `B x = b` in place: `x` enters holding `b` (indexed by row)
     /// and exits holding the solution (indexed by position).
     pub fn ftran(&self, x: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.dim());
+        debug_assert_eq!(x.len(), self.m);
         // Apply L row operations in elimination order.
         for (k, ops) in self.l_ops.iter().enumerate() {
             let pivot_row = self.pivots[k].0;
@@ -302,28 +243,8 @@ impl Factors {
             sol[pc] = val / self.u_diag[k];
         }
         x[..self.m].copy_from_slice(&sol);
-        // Pre-border etas act on base positions and belong inside `B`.
-        for eta in &self.etas[..self.border_at] {
-            let xp = x[eta.pos] / eta.pivot;
-            x[eta.pos] = xp;
-            if xp != 0.0 {
-                for &(i, v) in &eta.entries {
-                    x[i] -= v * xp;
-                }
-            }
-        }
-        // Border forward elimination: row i of `[[B,0],[C,S]]` gives
-        // `x[m+i] = (b[m+i] − Σ C[i][p]·x[p]) / pivot`, where earlier
-        // border positions referenced by `entries` are already final.
-        for (i, br) in self.border.iter().enumerate() {
-            let mut val = x[self.m + i];
-            for &(p, v) in &br.entries {
-                val -= v * x[p];
-            }
-            x[self.m + i] = val / br.pivot;
-        }
-        // Post-border etas act on the full bordered dimension.
-        for eta in &self.etas[self.border_at..] {
+        // Apply eta updates in order: x := E⁻¹ x.
+        for eta in &self.etas {
             let xp = x[eta.pos] / eta.pivot;
             x[eta.pos] = xp;
             if xp != 0.0 {
@@ -337,31 +258,9 @@ impl Factors {
     /// Solve `Bᵀ y = c` in place: `y` enters holding `c` (indexed by
     /// position) and exits holding the solution (indexed by row).
     pub fn btran(&self, y: &mut [f64]) {
-        debug_assert_eq!(y.len(), self.dim());
-        // Post-border eta-transpose updates in reverse order: c := E⁻ᵀ c.
-        for eta in self.etas[self.border_at..].iter().rev() {
-            let mut acc = y[eta.pos];
-            for &(i, v) in &eta.entries {
-                acc -= v * y[i];
-            }
-            y[eta.pos] = acc / eta.pivot;
-        }
-        // Border back-substitution: with `[[B,0],[C,S]]ᵀ = [[Bᵀ,Cᵀ],[0,Sᵀ]]`
-        // the bottom block solves in reverse row order, scattering each
-        // resolved `y[m+i]` into the right-hand side of the positions its
-        // row touches (both `Cᵀ` into the base and `Sᵀ` into earlier
-        // border rows).
-        for (i, br) in self.border.iter().enumerate().rev() {
-            let yi = y[self.m + i] / br.pivot;
-            y[self.m + i] = yi;
-            if yi != 0.0 {
-                for &(p, v) in &br.entries {
-                    y[p] -= v * yi;
-                }
-            }
-        }
-        // Pre-border eta-transposes (inside `B`), reverse order.
-        for eta in self.etas[..self.border_at].iter().rev() {
+        debug_assert_eq!(y.len(), self.m);
+        // Eta-transpose updates in reverse order: c := E⁻ᵀ c.
+        for eta in self.etas.iter().rev() {
             let mut acc = y[eta.pos];
             for &(i, v) in &eta.entries {
                 acc -= v * y[i];
@@ -550,104 +449,6 @@ mod tests {
         let mut b2 = mat_vec(&a, &x_true);
         f2.ftran(&mut b2);
         assert_close(&b2, &x_true);
-    }
-
-    /// Factor the leading block of a matrix, append the trailing rows as
-    /// a border, and check both solves against the full matrix.
-    fn check_bordered(a: &[Vec<f64>], base: usize, pre_eta_col: Option<(usize, Vec<f64>)>) {
-        let m = a.len();
-        let mut a = a.to_vec();
-        let base_block: Vec<Vec<f64>> = (0..base).map(|r| a[r][..base].to_vec()).collect();
-        let mut f = Factors::factor(base, &dense_to_cols(&base_block)).expect("base factors");
-        if let Some((pos, new_col)) = pre_eta_col {
-            let mut w = new_col.clone();
-            f.ftran(&mut w);
-            assert!(f.update(pos, &w));
-            for (r, row) in a.iter_mut().enumerate().take(base) {
-                row[pos] = new_col[r];
-            }
-        }
-        let rows: Vec<(Vec<(usize, f64)>, f64)> = (base..m)
-            .map(|r| {
-                let entries = (0..r)
-                    .filter(|&p| a[r][p] != 0.0)
-                    .map(|p| (p, a[r][p]))
-                    .collect();
-                (entries, a[r][r])
-            })
-            .collect();
-        assert!(f.append_rows(&rows));
-        assert_eq!(f.dim(), m);
-
-        let x_true: Vec<f64> = (0..m).map(|i| 1.0 + i as f64 * 0.5).collect();
-        let mut b = mat_vec(&a, &x_true);
-        f.ftran(&mut b);
-        assert_close(&b, &x_true);
-        let y_true: Vec<f64> = (0..m).map(|i| 2.0 - i as f64 * 0.25).collect();
-        let mut c = mat_t_vec(&a, &y_true);
-        f.btran(&mut c);
-        assert_close(&c, &y_true);
-    }
-
-    #[test]
-    fn bordered_extension_matches_full_matrix() {
-        // [[B, 0], [C, S]] with a 3×3 base and two appended rows.
-        let a = vec![
-            vec![2.0, 1.0, 0.0, 0.0, 0.0],
-            vec![0.0, 3.0, 1.0, 0.0, 0.0],
-            vec![1.0, 0.0, 4.0, 0.0, 0.0],
-            vec![1.5, -1.0, 0.0, 1.0, 0.0],
-            vec![0.0, 2.0, -0.5, 0.5, 1.0],
-        ];
-        check_bordered(&a, 3, None);
-    }
-
-    #[test]
-    fn bordered_extension_after_eta_updates() {
-        // Pre-border eta: the base basis already pivoted once before the
-        // rows were appended; border entries reference the *current*
-        // basis columns.
-        let a = vec![
-            vec![2.0, 1.0, 0.0, 0.0],
-            vec![0.0, 3.0, 1.0, 0.0],
-            vec![1.0, 0.0, 4.0, 0.0],
-            vec![1.0, 1.0, 2.0, 1.0],
-        ];
-        check_bordered(&a, 3, Some((1, vec![1.0, 1.0, 2.0])));
-    }
-
-    #[test]
-    fn bordered_then_post_eta_update() {
-        let mut a = vec![
-            vec![2.0, 1.0, 0.0, 0.0],
-            vec![0.0, 3.0, 1.0, 0.0],
-            vec![1.0, 0.0, 4.0, 0.0],
-            vec![1.0, -1.0, 0.0, 1.0],
-        ];
-        let base: Vec<Vec<f64>> = (0..3).map(|r| a[r][..3].to_vec()).collect();
-        let mut f = Factors::factor(3, &dense_to_cols(&base)).expect("factors");
-        assert!(f.append_rows(&[(vec![(0, 1.0), (1, -1.0)], 1.0)]));
-
-        // Post-border pivot replacing position 0 across the full dimension.
-        let new_col = vec![1.0, 0.5, 0.0, 2.0];
-        let mut w = new_col.clone();
-        f.ftran(&mut w);
-        assert!(f.update(0, &w));
-        for (r, row) in a.iter_mut().enumerate() {
-            row[0] = new_col[r];
-        }
-
-        let x_true = vec![0.5, -1.0, 2.0, 1.5];
-        let mut b = mat_vec(&a, &x_true);
-        f.ftran(&mut b);
-        assert_close(&b, &x_true);
-        let y_true = vec![1.0, 0.25, -0.5, 2.0];
-        let mut c = mat_t_vec(&a, &y_true);
-        f.btran(&mut c);
-        assert_close(&c, &y_true);
-
-        // A second append on top of post-border etas is not representable.
-        assert!(!f.append_rows(&[(vec![(0, 1.0)], 1.0)]));
     }
 
     #[test]

@@ -30,15 +30,14 @@
 //!   and rewritten graphs replayed against their originals,
 //! * [`check_milp_analysis`] / [`check_certified_cuts`] — MILP
 //!   structural-analysis audit (`P05xx`): every probing fixing and
-//!   implication chain replayed from pristine bounds, every clique edge
-//!   and cover cut re-checked against its witness row, and every symmetry
-//!   orbit's transposition witnesses re-applied to the full model,
+//!   implication chain replayed from pristine bounds, and every clique
+//!   edge and cover cut re-checked against its witness row,
 //! * [`check_priority_cuts`] — priority-cut pruning audit (`P06xx`):
 //!   every dominance/liveness certificate re-derived from the graph, an
 //!   independent cover-feasibility recount, and an objective-invariance
 //!   spot-check solving raw-vs-pruned covering MILPs on small graphs,
 //! * [`check_resolve`] — incremental re-solve audit (`P08xx`): the last
-//!   incrementally re-optimized result confronted with a from-scratch
+//!   incrementally re-solved result confronted with a from-scratch
 //!   solve of the identical model, an independent feasibility and
 //!   integrality recheck of its assignment, and a consistency check of
 //!   the engine's reuse counters.

@@ -14,6 +14,7 @@
 //! pipemap run      <NAME>                             # alias for bench
 //! pipemap sweep    <file.pmir> [--ii-list 1,2,4] [--k-list 4,6] [--resolve on|off] [--audit]
 //! pipemap report   <file.pmir|NAME|trace.json> [--flow FLOW] [--json] [--report-out FILE]
+//! pipemap help                                        # usage (also --help, -h)
 //! ```
 //!
 //! `FLOW` is one of `hls`, `base`, `map` (default), `heur`. Flags may
@@ -24,10 +25,9 @@
 //! available cores. The solver is deterministic in `--jobs`: every
 //! thread count returns the identical status, objective, and schedule.
 //!
-//! `--probing on|off`, `--cuts on|off`, and `--symmetry on|off` toggle
-//! the solver's structural analysis (all on by default): probing-based
-//! fixings/implications, root clique/cover cut separation, and orbital
-//! fixing from verified column symmetries.
+//! `--probing on|off` and `--cuts on|off` toggle the solver's structural
+//! analysis (both on by default): probing-based fixings/implications and
+//! root clique/cover cut separation.
 //!
 //! `--gomory-cuts on|off` (off by default) adds Gomory mixed-integer
 //! cuts read off the optimal simplex tableau to the root cut loop; each
@@ -36,14 +36,14 @@
 //! incumbent before branch-and-bound by re-solving MFFC-cone subgraphs
 //! against a frozen complement, ordered by LP-relaxation fractionality.
 //!
-//! `--resolve on|off` (on by default) routes repeated closely-related
-//! solves — the decomposition's sub-MILPs, and every point of the
-//! `sweep` subcommand — through an editable re-solve context that
-//! warm-starts each solve from the previous one's simplex basis and LU
-//! factors instead of solving cold. `sweep` explores the II × K ×
-//! weight design space over one such context per structural base (cold
-//! per-point replay with `--resolve off`); `--audit` re-checks every
-//! incremental sweep point against a from-scratch solve.
+//! `sweep` explores the II × K × weight design space. With `--resolve
+//! on` (the default) each structural base (II, K) is built once and its
+//! weight points are solved through one editable re-solve context: every
+//! point after the first starts from the previous point's solution as
+//! its incumbent, an unedited model answers from the cached result, and
+//! a base whose model matches the previous base's is replayed instead of
+//! solved. `--resolve off` rebuilds and cold-solves every point. `--audit`
+//! re-checks every incremental sweep point against a from-scratch solve.
 //!
 //! `--priority-cuts on|off` toggles the certified priority-cut analysis
 //! in front of the mapping-aware MILP (off by default — the ranked
@@ -116,12 +116,12 @@ struct Args {
     report_out: Option<String>,
     probing: bool,
     cuts: bool,
-    symmetry: bool,
     gomory_cuts: bool,
     decompose: bool,
     priority_cuts: bool,
     max_cuts_per_root: usize,
     deny_warnings: bool,
+    help: bool,
     resolve: bool,
     audit: bool,
     ii_list: Option<Vec<u32>>,
@@ -164,12 +164,12 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         report_out: None,
         probing: true,
         cuts: true,
-        symmetry: true,
         gomory_cuts: false,
         decompose: false,
         priority_cuts: false,
         max_cuts_per_root: 4,
         deny_warnings: false,
+        help: false,
         resolve: true,
         audit: false,
         ii_list: None,
@@ -233,7 +233,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--probing" => a.probing = parse_switch("--probing", argv.next())?,
             "--cuts" => a.cuts = parse_switch("--cuts", argv.next())?,
-            "--symmetry" => a.symmetry = parse_switch("--symmetry", argv.next())?,
             "--gomory-cuts" => a.gomory_cuts = parse_switch("--gomory-cuts", argv.next())?,
             "--decompose" => a.decompose = parse_switch("--decompose", argv.next())?,
             "--priority-cuts" => a.priority_cuts = parse_switch("--priority-cuts", argv.next())?,
@@ -253,6 +252,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 a.k_list = Some(parse_u32_list("--k-list", argv.next())?);
             }
             "--deny-warnings" => a.deny_warnings = true,
+            "--help" | "-h" => a.help = true,
             "--metrics" => a.metrics = true,
             "--json" => a.json = true,
             "--codes" => a.codes = true,
@@ -266,6 +266,30 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(a)
 }
 
+/// Printed by `pipemap help`, `--help` and `-h`; the first line names
+/// every subcommand [`dispatch`] accepts.
+const USAGE: &str = "\
+usage: pipemap <info|dot|schedule|verilog|lint|analyze|verify|bench|run|sweep|report|help> [ARGS] [FLAGS]
+
+  info     <file.pmir>                 graph statistics
+  dot      <file.pmir>                 scheduled graph as graphviz
+  schedule <file.pmir>                 schedule log, functional check, solver stats
+  verilog  <file.pmir>                 RTL of the scheduled pipeline
+  lint     <file.pmir> | --codes       static IR lint (P0xxx codes)
+  analyze  <file.pmir>                 bit-level facts and savings (--json, --dot)
+  verify   <file.pmir>                 all flows + differential check
+  bench    <NAME>                      built-in benchmark, all flows (`run` is an alias)
+  sweep    <file.pmir|NAME>            II x K x weight sweep (--ii-list, --k-list,
+                                       --resolve on|off, --audit)
+  report   <file.pmir|NAME|trace.json> solve flight recorder (--json, --report-out FILE)
+  help                                 this text (also --help, -h)
+
+flags: --flow hls|base|map|heur  --limit SECS  --ii N  --k N  --jobs N  --module NAME
+       --probing on|off  --cuts on|off  --gomory-cuts on|off  --decompose on|off
+       --priority-cuts on|off  --max-cuts-per-root N  --deny-warnings
+       --trace FILE  --metrics  --metrics-out FILE  --metrics-prom FILE
+";
+
 fn load(path: &str) -> Result<Dfg, Box<dyn Error>> {
     let src = std::fs::read_to_string(path)?;
     Ok(parse_dfg(&src)?)
@@ -278,12 +302,10 @@ fn options(a: &Args) -> FlowOptions {
         jobs: a.jobs,
         probing: a.probing,
         cuts: a.cuts,
-        symmetry: a.symmetry,
         gomory_cuts: a.gomory_cuts,
         decompose: a.decompose,
         priority_cuts: a.priority_cuts,
         max_cuts_per_root: a.max_cuts_per_root,
-        resolve: a.resolve,
         ..FlowOptions::default()
     }
 }
@@ -298,10 +320,12 @@ fn target(a: &Args) -> Target {
 fn run() -> Result<(), Box<dyn Error>> {
     // Flags may appear anywhere; the first positional is the subcommand.
     let mut a = parse_args(std::env::args().skip(1)).map_err(|e| -> Box<dyn Error> { e.into() })?;
+    if a.help || a.positional.first().is_some_and(|c| c == "help") {
+        print!("{USAGE}");
+        return Ok(());
+    }
     if a.positional.is_empty() {
-        eprintln!(
-            "usage: pipemap <info|dot|schedule|verilog|lint|analyze|verify|bench|run|sweep> ..."
-        );
+        eprint!("{USAGE}");
         return Err("missing subcommand".into());
     }
     let cmd = a.positional.remove(0);
@@ -443,7 +467,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
                 println!(
                     "        analysis: {} probed -> {} fixing(s), {} implication(s) \
                      | {} clique(s) -> {} clique + {} cover + {} implication cut(s) in {} round(s), {} aged out \
-                     | {} orbit(s) -> {} orbital + {} implied fixing(s) in tree",
+                     | {} implied fixing(s) in tree",
                     s.solver.probe_vars,
                     s.solver.probe_fixings,
                     s.solver.probe_implications,
@@ -453,8 +477,6 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
                     s.solver.implication_cuts,
                     s.solver.cut_rounds,
                     s.solver.cuts_aged_out,
-                    s.solver.symmetry_orbits,
-                    s.solver.orbital_fixings,
                     s.solver.implication_fixings
                 );
                 if s.solver.gomory_cuts > 0 || s.subproblems_solved > 0 {
@@ -662,7 +684,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
                 "status",
                 "objective",
                 "wall",
-                "warm",
+                "reuse",
                 "audit"
             );
             for p in &rep.points {
@@ -677,7 +699,7 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
                     p.status.to_string(),
                     p.objective,
                     format!("{:.2?}", p.wall),
-                    if p.warm_hit { "yes" } else { "no" },
+                    if p.reused { "yes" } else { "no" },
                     p.audit_ok.map_or("-", |ok| if ok { "ok" } else { "FAIL" }),
                 );
             }
@@ -692,19 +714,12 @@ fn dispatch(cmd: &str, a: &Args) -> Result<(), Box<dyn Error>> {
             if let Some(rs) = &rep.resolve {
                 println!(
                     "       reuse: {} solve(s) | {} cached | {} cold | {} base(s) deduped \
-                     | {} incumbent seed(s) | warm hits {}/{} \
-                     | LU reused {} / refactored {} | {} frontier resume(s) ({} node(s))",
+                     | {} incumbent seed(s)",
                     rs.solves,
                     rs.cached_results,
                     rs.cold_solves,
                     rep.bases_deduped,
-                    rs.incumbent_seeds,
-                    rs.warm_hits,
-                    rs.warm_attempts,
-                    rs.lu_factor_reuses,
-                    rs.lu_refactors,
-                    rs.frontier_resumes,
-                    rs.frontier_nodes_reused
+                    rs.incumbent_seeds
                 );
             }
             if rep.audit_failures > 0 {

@@ -5,8 +5,8 @@
 //! identically-edited model from scratch after every step, and every
 //! assignment it returns must independently re-verify as feasible. The
 //! incremental path may legitimately return a different member of a
-//! tied optimal set than the cold solver (warm starts change which
-//! optimal vertex each node LP lands on), so assignments are compared
+//! tied optimal set than the cold solver (the seeded incumbent can win
+//! a tie the cold search breaks the other way), so assignments are compared
 //! up to re-verified feasibility at the same objective, not bit for
 //! bit.
 //!
